@@ -634,10 +634,18 @@ mod tests {
         dir.join(name)
     }
 
+    /// The karate-club edge file, written once: tests run in parallel,
+    /// and rewriting it per test let one test read another's half-written
+    /// file.
     fn write_karate() -> std::path::PathBuf {
-        let p = tmp("karate.edges");
-        graph_io::save_edge_list(&builders::karate_club(), &p).unwrap();
-        p
+        static KARATE: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        KARATE
+            .get_or_init(|| {
+                let p = tmp("karate.edges");
+                graph_io::save_edge_list(&builders::karate_club(), &p).unwrap();
+                p
+            })
+            .clone()
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Dense symmetric matrices and the cyclic Jacobi eigensolver.
 //!
-//! Jacobi is slow (O(n³) per sweep) but unconditionally robust and simple
-//! to verify — exactly the property we want in the *oracle* eigensolver
-//! that the Lanczos path is validated against. It is also the production
-//! path for small graphs (n ≤ 512), where its cost is negligible.
+//! Jacobi is slow (O(n³) per sweep: seconds at n ≈ 500) but
+//! unconditionally robust and simple to verify — exactly the property we
+//! want in the *oracle* eigensolver that Lanczos is validated against. It
+//! is compiled only for tests; no production route uses it.
 
 use dk_graph::Graph;
 

@@ -18,16 +18,18 @@
 //! the needed solvers from scratch:
 //!
 //! * [`sparse::SparseSym`] — symmetric CSR matrix with `matvec`;
-//! * [`dense::DenseSym`] + cyclic **Jacobi** — full eigensystem for small
-//!   matrices; the test oracle and the solver used below Lanczos scale;
 //! * [`tridiag::tridiag_eigenvalues`] — implicit-shift **QL** for symmetric
-//!   tridiagonal matrices;
-//! * [`lanczos`] — **Lanczos** with full reorthogonalization and explicit
-//!   deflation; converges to spectrum extremes in a few hundred iterations
-//!   even for the ≈10⁴-node skitter-scale graphs;
+//!   tridiagonal matrices, and [`tridiag::tridiag_eigenvector`] — pivoted
+//!   inverse iteration for one eigenvector of such a matrix;
+//! * [`lanczos`] — **Lanczos** with full reorthogonalization, explicit
+//!   deflation and a residual-certified early stop; the only production
+//!   eigensolver;
 //! * [`laplacian`] — the graph-facing API: [`laplacian::spectral_extremes`]
 //!   returns `(λ1, λ_{n−1})`, deflating the analytically-known null vector
 //!   rather than estimating it numerically.
+//!
+//! A dense cyclic **Jacobi** solver (`dense`) exists only under
+//! `#[cfg(test)]`, as the oracle Lanczos is checked against.
 //!
 //! Solvers are deterministic: Lanczos uses a fixed arithmetic start vector
 //! (orthogonalized against the deflation space), not a random one.
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 pub mod dense;
 pub mod lanczos;
 pub mod laplacian;

@@ -5,7 +5,9 @@
 //! values) approximate the extreme eigenvalues of the operator. The
 //! algorithm here is the classical `tqli` routine (eigenvalues only),
 //! restructured for clarity and with explicit failure reporting instead of
-//! silent truncation.
+//! silent truncation. [`tridiag_eigenvector`] adds the one eigenvector
+//! component Lanczos needs to certify a Ritz value (see
+//! [`crate::lanczos`]).
 
 /// Eigenvalues of the symmetric tridiagonal matrix with diagonal `d`
 /// (length n) and sub-diagonal `e` (length n−1), in ascending order.
@@ -89,6 +91,87 @@ pub fn tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
     d
 }
 
+/// Unit eigenvector of the symmetric tridiagonal matrix with diagonal `d`
+/// and sub-diagonal `e` for the eigenvalue nearest `theta`, by inverse
+/// iteration.
+///
+/// `T − θI` is factored once by Gaussian elimination with partial
+/// pivoting (the LAPACK `dgttrf` layout: `U` has two super-diagonals),
+/// every pivot smaller than `ε·max|T_ij|` raised to that size, and three
+/// solves follow from a fixed start vector, each normalized. When `theta`
+/// is an accurate eigenvalue (a QL Ritz value), `T − θI` is nearly
+/// singular and the first solve already amplifies the wanted direction
+/// by about `1/ε`. Nothing here certifies the result: a caller that needs
+/// a guarantee measures `‖T·s − θ·s‖` itself, as [`crate::lanczos`] does.
+///
+/// Returns an empty vector for an empty matrix. A non-finite input gives
+/// a non-finite vector, never a panic.
+pub fn tridiag_eigenvector(d: &[f64], e: &[f64], theta: f64) -> Vec<f64> {
+    let n = d.len().min(e.len() + 1);
+    if n == 0 {
+        return Vec::new();
+    }
+    let scale = d[..n]
+        .iter()
+        .chain(&e[..n - 1])
+        .fold(0.0f64, |m, x| m.max(x.abs()));
+    let tiny = f64::EPSILON * scale.max(f64::MIN_POSITIVE);
+    let floor = |p: f64| if p.abs() < tiny { tiny.copysign(p) } else { p };
+    // P(T − θI) = L·U: `u0` main diagonal of U, `u1`/`u2` its first and
+    // second super-diagonals, `l` the multipliers, `swap` the pivots.
+    let mut u0: Vec<f64> = d[..n].iter().map(|x| x - theta).collect();
+    let mut u1: Vec<f64> = e[..n - 1].to_vec();
+    let mut u2 = vec![0.0; n.saturating_sub(2)];
+    let mut l: Vec<f64> = e[..n - 1].to_vec();
+    let mut swap = vec![false; n - 1];
+    for i in 0..n - 1 {
+        if u0[i].abs() >= l[i].abs() {
+            u0[i] = floor(u0[i]);
+            l[i] /= u0[i];
+            u0[i + 1] -= l[i] * u1[i];
+        } else {
+            let f = u0[i] / l[i];
+            u0[i] = l[i];
+            l[i] = f;
+            let t = u1[i];
+            u1[i] = u0[i + 1];
+            u0[i + 1] = t - f * u0[i + 1];
+            if i + 2 < n {
+                u2[i] = u1[i + 1];
+                u1[i + 1] *= -f;
+            }
+            swap[i] = true;
+        }
+    }
+    u0[n - 1] = floor(u0[n - 1]);
+
+    let mut x: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 / n as f64).collect();
+    for _ in 0..3 {
+        for i in 0..n - 1 {
+            if swap[i] {
+                x.swap(i, i + 1);
+            }
+            x[i + 1] -= l[i] * x[i];
+        }
+        for i in (0..n).rev() {
+            let mut r = x[i];
+            if i + 1 < n {
+                r -= u1[i] * x[i + 1];
+            }
+            if i + 2 < n {
+                r -= u2[i] * x[i + 2];
+            }
+            x[i] = r / u0[i];
+        }
+        let big = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let norm = big * x.iter().map(|v| (v / big).powi(2)).sum::<f64>().sqrt();
+        for v in &mut x {
+            *v /= norm;
+        }
+    }
+    x
+}
+
 #[inline]
 fn hypot(a: f64, b: f64) -> f64 {
     a.hypot(b)
@@ -119,6 +202,19 @@ mod tests {
     fn empty_and_singleton() {
         assert!(tridiag_eigenvalues(&[], &[]).is_empty());
         assert_close(&tridiag_eigenvalues(&[3.5], &[]), &[3.5], 1e-15);
+    }
+
+    #[test]
+    fn eigenvector_of_empty_singleton_and_diagonal() {
+        assert!(tridiag_eigenvector(&[], &[], 0.0).is_empty());
+        assert_close(&tridiag_eigenvector(&[3.5], &[], 3.5), &[1.0], 1e-15);
+        // an exact eigenvalue makes a pivot exactly zero: floored, no NaN
+        let v = tridiag_eigenvector(&[3.0, 1.0, 2.0], &[0.0, 0.0], 1.0);
+        assert_close(
+            &v.iter().map(|x| x.abs()).collect::<Vec<_>>(),
+            &[0.0, 1.0, 0.0],
+            1e-12,
+        );
     }
 
     #[test]

@@ -96,7 +96,9 @@ impl Analyzer {
         self
     }
 
-    /// Sets the Lanczos iteration budget for spectral extremes.
+    /// Sets the ceiling on Lanczos steps for spectral extremes; the
+    /// residual-certified stop usually ends the run earlier. A ceiling
+    /// of 0 leaves `lambda1`/`lambda_n` undefined.
     pub fn lanczos_iter(mut self, iters: usize) -> Self {
         self.opts.lanczos_iter = iters;
         self

@@ -91,7 +91,8 @@ pub enum GccPolicy {
 pub struct AnalyzeOptions {
     /// GCC extraction policy.
     pub gcc: GccPolicy,
-    /// Lanczos budget for spectral extremes above the dense cutoff.
+    /// Ceiling on Lanczos steps for spectral extremes (the certified
+    /// stop usually ends the run earlier).
     pub lanczos_iter: usize,
     /// Worker threads for shared passes and the metric fan-out
     /// (`0` = all cores). Any value produces identical results.

@@ -84,7 +84,7 @@
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
 //! | `all-pairs` | n sources through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** + 2·n/8-byte frontier bitmaps per worker |
-//! | `spectral` | Lanczos (dense below cutoff) | O(n) iteration vectors |
+//! | `spectral` | Lanczos (residual-certified) | O(k·n) Krylov basis for the k ≤ `lanczos_iter` steps run |
 //!
 //! The streamed route is auto-selected above
 //! [`AUTO_STREAM_NODES`](crate::stream::AUTO_STREAM_NODES) analyzed
@@ -166,7 +166,7 @@ pub enum Cost {
     /// graphs runs via the sharded streaming route with O(workers·n)
     /// working memory; see the module docs' route table.
     AllPairs,
-    /// Eigensolver (Jacobi / Lanczos).
+    /// Eigensolver (Lanczos with a residual-certified stop).
     Spectral,
 }
 

@@ -170,9 +170,9 @@ fn fmt_scalar(x: f64) -> String {
 /// selects metrics by name on [`Analyzer`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReportOptions {
-    /// Compute `λ1`/`λ_{n−1}` (Jacobi/Lanczos).
+    /// Compute `λ1`/`λ_{n−1}` (certified Lanczos).
     pub spectral: bool,
-    /// Lanczos budget for graphs above the dense cutoff.
+    /// Ceiling on Lanczos steps for the spectral extremes.
     pub lanczos_iter: usize,
     /// Compute the exact distance distribution (all-source BFS).
     pub distances: bool,

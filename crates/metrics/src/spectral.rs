@@ -1,7 +1,7 @@
 //! Spectral metrics: thin graph-facing wrapper over `dk-linalg`.
 //!
 //! Exists so that `dk-metrics` is the single dependency a caller needs for
-//! the full Table 2 battery; the heavy lifting (Jacobi/Lanczos) lives in
+//! the full Table 2 battery; the heavy lifting (certified Lanczos) lives in
 //! [`dk_linalg`].
 
 use dk_graph::Graph;
@@ -9,14 +9,12 @@ pub use dk_linalg::laplacian::{SpectralError, SpectralExtremes};
 
 /// `λ1` and `λ_{n−1}` of the normalized Laplacian of a **connected** graph.
 ///
-/// See [`dk_linalg::laplacian::spectral_extremes`] for strategy and
-/// accuracy notes.
+/// See [`dk_linalg::laplacian`] for the solver and its accuracy bound.
 pub fn spectral_extremes(g: &Graph) -> Result<SpectralExtremes, SpectralError> {
     dk_linalg::spectral_extremes(g)
 }
 
-/// As [`spectral_extremes`] with an explicit Lanczos iteration budget for
-/// large graphs.
+/// As [`spectral_extremes`] with an explicit ceiling on Lanczos steps.
 pub fn spectral_extremes_with(
     g: &Graph,
     lanczos_iter: usize,

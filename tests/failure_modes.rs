@@ -147,3 +147,24 @@ fn zero_size_everything() {
     let empty = Graph::new();
     assert_eq!(Dist3K::from_graph(&empty), Dist3K::default());
 }
+
+#[test]
+fn zero_lanczos_budget_is_undefined_not_a_panic() {
+    use dk_repro::linalg::laplacian::{spectral_extremes_with, SpectralError};
+    use dk_repro::metrics::metric::MetricValue;
+    use dk_repro::metrics::Analyzer;
+    let g = dk_repro::graph::builders::grid(30, 30);
+    assert_eq!(
+        spectral_extremes_with(&g, 0),
+        Err(SpectralError::NoIterations)
+    );
+    let report = Analyzer::new()
+        .metric_names("lambda1,lambda_n,n")
+        .unwrap()
+        .lanczos_iter(0)
+        .analyze(&g);
+    for name in ["lambda1", "lambda_n"] {
+        assert_eq!(report.record(name).unwrap().value, MetricValue::Undefined);
+    }
+    assert_eq!(report.scalar("n"), Some(900.0));
+}
