@@ -271,8 +271,9 @@ pub fn parse_memory_budget(s: &str) -> Result<u64, String> {
 /// (each analyzed node carries `2^B` one-byte registers, so `B` outside
 /// that window is either statistically useless or a memory foot-gun).
 pub fn parse_sketch_bits(s: &str) -> Result<u32, String> {
+    use dk_metrics::sketch::{MAX_SKETCH_BITS, MIN_SKETCH_BITS};
     match s.parse::<u32>() {
-        Ok(b) if (4..=16).contains(&b) => Ok(b),
+        Ok(b) if (MIN_SKETCH_BITS..=MAX_SKETCH_BITS).contains(&b) => Ok(b),
         _ => Err(format!(
             "bad --sketch-bits {s:?}: need a register-bit count in 4..=16 \
              (e.g. --sketch-bits 8; error ~1.04/sqrt(2^B), memory n*2^B bytes)"

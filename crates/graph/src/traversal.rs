@@ -36,6 +36,21 @@
 //! so every reducer built on this kernel (distance histograms,
 //! eccentricities, reach counts) is order-insensitive within a level
 //! and produces bit-identical results on either path.
+//!
+//! ## Multi-source BFS (64 sources per sweep)
+//!
+//! [`bfs_levels64`] walks up to [`MSBFS_WIDTH`] = 64 sources at once
+//! (MS-BFS, Then et al., VLDB 2015): every node carries three `u64`
+//! words — `seen`, `front`, `next` — whose bit `i` stands for source `i`
+//! of the batch, so one edge probe advances all 64 traversals. It only
+//! reports per-level reach counts (`popcount` of the newly reached
+//! bits), which is all the exact distance histogram needs. Like
+//! [`bfs_visit`] it is hybrid: a level runs **push** (scan the active
+//! frontier nodes, OR their `front` word into each neighbor) or **pull**
+//! (scan the not-yet-saturated nodes, OR their neighbors' `front`
+//! words), chosen by the integer rule of [`MSBFS_ALPHA`]. Both
+//! directions compute the same newly reached bit set, so the counts are
+//! identical whichever way a level runs.
 
 use crate::csr::{AdjacencyView, CsrGraph};
 use crate::graph::{Graph, NodeId};
@@ -209,6 +224,183 @@ pub fn bfs_visit<V: AdjacencyView + ?Sized>(
         std::mem::swap(frontier, next);
     }
     (reached, depth)
+}
+
+/// Sources one [`bfs_levels64`] sweep walks: one bit of a `u64` word each.
+pub const MSBFS_WIDTH: usize = 64;
+
+/// Push → pull switch of [`bfs_levels64`]: a level runs pull (bottom-up)
+/// when the edge endpoints on its active frontier, times `MSBFS_ALPHA`,
+/// exceed all `2m` endpoints of the graph. The frontier of a 64-source
+/// batch is the union of 64 frontiers, so it is compared against the
+/// whole graph rather than the unexplored remainder [`DOBFS_ALPHA`]
+/// uses; the constant is the same classic 14. Sparse long-diameter
+/// shapes (paths, cycles, grids) stay push on every level, where a
+/// pull-only sweep would rescan all `n` nodes per level.
+pub const MSBFS_ALPHA: u64 = 14;
+
+/// Reusable per-worker scratch for [`bfs_levels64`]: the three per-node
+/// source words (`seen`, `front`, `next`: `3 · 8n` bytes) and the two
+/// active-node lists (`2 · 4n` bytes) — `32n` bytes in all, inside the
+/// `40n` that `dk_metrics::stream::per_worker_bytes` charges a worker.
+#[derive(Debug, Default)]
+pub struct MultiBfsScratch {
+    seen: Vec<u64>,
+    front: Vec<u64>,
+    next: Vec<u64>,
+    active: Vec<NodeId>,
+    next_active: Vec<NodeId>,
+}
+
+impl MultiBfsScratch {
+    /// Scratch sized for an `n`-node graph (resized on demand by
+    /// [`bfs_levels64`], so any starting size is valid).
+    pub fn new(n: usize) -> Self {
+        MultiBfsScratch {
+            seen: vec![0; n],
+            front: vec![0; n],
+            next: vec![0; n],
+            active: Vec::with_capacity(n),
+            next_active: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// What one [`bfs_levels64`] sweep did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MultiBfsRun {
+    /// `(source, node)` pairs reached, the sources themselves included.
+    pub reached: u64,
+    /// Levels expanded top-down (push over the active frontier).
+    pub push_levels: u32,
+    /// Levels expanded bottom-up (pull over the unsaturated nodes).
+    pub pull_levels: u32,
+}
+
+/// Multi-source BFS over up to [`MSBFS_WIDTH`] sources at once: adds to
+/// `counts[x]` the number of `(source, node)` pairs at distance `x`
+/// (growing `counts` as needed; `counts[0]` gains `sources.len()`).
+/// Source `i` of the slice owns bit `i` of every node word, so a
+/// repeated source is simply counted once per occurrence.
+///
+/// Each level expands push or pull by the [`MSBFS_ALPHA`] rule — see the
+/// [module docs](self). The counts are integer and independent of the
+/// direction taken, so they equal a per-source [`bfs_visit`] histogram
+/// exactly; the direction sequence is a pure function of the graph and
+/// the batch, and is reported in the returned [`MultiBfsRun`].
+///
+/// # Panics
+/// Panics if `sources` holds more than [`MSBFS_WIDTH`] entries or an
+/// out-of-range node id.
+pub fn bfs_levels64<V: AdjacencyView + ?Sized>(
+    g: &V,
+    sources: &[NodeId],
+    scratch: &mut MultiBfsScratch,
+    counts: &mut Vec<u64>,
+) -> MultiBfsRun {
+    assert!(sources.len() <= MSBFS_WIDTH, "more than 64 BFS sources");
+    let mut run = MultiBfsRun::default();
+    if sources.is_empty() {
+        return run;
+    }
+    let n = g.node_count();
+    let MultiBfsScratch {
+        seen,
+        front,
+        next,
+        active,
+        next_active,
+    } = scratch;
+    for words in [&mut *seen, &mut *front, &mut *next] {
+        words.clear();
+        words.resize(n, 0);
+    }
+    active.clear();
+    next_active.clear();
+    let full = if sources.len() == MSBFS_WIDTH {
+        u64::MAX
+    } else {
+        (1u64 << sources.len()) - 1
+    };
+    // `mf`: edge endpoints on the active frontier, the push/pull input
+    let mut mf = 0u64;
+    for (i, &s) in sources.iter().enumerate() {
+        if front[s as usize] == 0 {
+            active.push(s);
+            mf += g.degree(s) as u64;
+        }
+        front[s as usize] |= 1u64 << i;
+        seen[s as usize] |= 1u64 << i;
+    }
+    if counts.is_empty() {
+        counts.push(0);
+    }
+    counts[0] += sources.len() as u64;
+    run.reached = sources.len() as u64;
+    let endpoints = g.edge_endpoints();
+    let mut d = 0usize;
+    while !active.is_empty() {
+        d += 1;
+        if mf * MSBFS_ALPHA > endpoints {
+            run.pull_levels += 1;
+            for v in 0..n as NodeId {
+                let want = full & !seen[v as usize];
+                if want == 0 {
+                    continue;
+                }
+                let mut got = 0u64;
+                for &u in g.neighbors(v) {
+                    got |= front[u as usize];
+                    if got & want == want {
+                        break;
+                    }
+                }
+                if got & want != 0 {
+                    next[v as usize] = got & want;
+                    next_active.push(v);
+                }
+            }
+        } else {
+            run.push_levels += 1;
+            for &u in active.iter() {
+                let f = front[u as usize];
+                for &v in g.neighbors(u) {
+                    let new = f & !seen[v as usize];
+                    if new != 0 {
+                        if next[v as usize] == 0 {
+                            next_active.push(v);
+                        }
+                        next[v as usize] |= new;
+                    }
+                }
+            }
+        }
+        // commit the level: `next` becomes the frontier, the old
+        // frontier's words are cleared so `next` starts the next level
+        // all-zero again
+        let mut level = 0u64;
+        mf = 0;
+        for &v in next_active.iter() {
+            let bits = next[v as usize];
+            seen[v as usize] |= bits;
+            level += u64::from(bits.count_ones());
+            mf += g.degree(v) as u64;
+        }
+        for &u in active.iter() {
+            front[u as usize] = 0;
+        }
+        std::mem::swap(front, next);
+        std::mem::swap(active, next_active);
+        next_active.clear();
+        if level > 0 {
+            if counts.len() <= d {
+                counts.resize(d + 1, 0);
+            }
+            counts[d] += level;
+            run.reached += level;
+        }
+    }
+    run
 }
 
 /// Single-source BFS distances.
@@ -508,6 +700,54 @@ mod tests {
                 assert_eq!(got, visits, "visit set differs from oracle, source {s}");
             }
         }
+    }
+
+    /// The 64-source kernel against a per-source [`bfs_visit`]
+    /// histogram, including partial and repeated-source batches and a
+    /// dense shape that takes the pull direction.
+    #[test]
+    fn bfs_levels64_matches_per_source_histogram() -> Result<(), crate::GraphError> {
+        for g in [
+            builders::complete(9),
+            builders::karate_club(),
+            builders::cycle(70),
+            Graph::from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])?,
+        ] {
+            let n = g.node_count() as NodeId;
+            let csr = CsrGraph::from_graph(&g);
+            let mut scratch = MultiBfsScratch::new(0);
+            let mut bfs = BfsScratch::new(0);
+            for sources in [vec![0], (0..n.min(64)).collect(), vec![1, 1, 0, n - 1]] {
+                let mut want = Vec::new();
+                let (mut reached, mut depth) = (0, 0);
+                for &s in &sources {
+                    let (r, d) = bfs_visit(&g, s, &mut bfs, |_, x| {
+                        if want.len() <= x as usize {
+                            want.resize(x as usize + 1, 0u64);
+                        }
+                        want[x as usize] += 1;
+                    });
+                    reached += r;
+                    depth = depth.max(d);
+                }
+                let mut got = Vec::new();
+                let run = bfs_levels64(&csr, &sources, &mut scratch, &mut got);
+                assert_eq!(got, want, "sources {sources:?}");
+                assert_eq!(run.reached, reached);
+                // the last level finds nothing and ends the sweep
+                assert_eq!(run.push_levels + run.pull_levels, depth + 1);
+            }
+        }
+        let mut got = Vec::new();
+        let run = bfs_levels64(
+            &builders::complete(64),
+            &(0..64).collect::<Vec<_>>(),
+            &mut MultiBfsScratch::default(),
+            &mut got,
+        );
+        assert_eq!(got, vec![64, 64 * 63]);
+        assert_eq!((run.push_levels, run.pull_levels), (0, 2));
+        Ok(())
     }
 
     #[test]

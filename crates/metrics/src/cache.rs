@@ -17,6 +17,10 @@
 //! * **Distances + betweenness** share one fused all-source traversal
 //!   ([`crate::betweenness::betweenness_and_distances_csr`]) whenever
 //!   both are requested — Brandes' BFS already knows every distance.
+//!   Distances alone take the 64-source bit-parallel sweep
+//!   ([`DistanceDistribution::from_csr_streamed`], built on
+//!   [`dk_graph::traversal::bfs_levels64`]), whose one route is the
+//!   shard fold whatever the execution plan says.
 //! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
 //! * **Sampled traversal** ([`crate::sampled`]) runs once from
 //!   [`AnalyzeOptions::samples`] pivots for the `*_approx` metrics.
@@ -398,17 +402,14 @@ impl<'g> AnalysisCache<'g> {
                 })
             }
             Job::Traversal { betweenness: false } => DepOut::Traversal(TraversalData {
-                distances: {
-                    // histogram/eccentricity reducers are label-
-                    // independent, so the plain entry points over the
-                    // relabeled snapshot are already bit-identical
-                    let dg = relabeled.as_ref().map(|(r, _)| r).unwrap_or_else(snap);
-                    if plan.streamed {
-                        DistanceDistribution::from_csr_streamed(dg, plan.shards, plan.workers)
-                    } else {
-                        DistanceDistribution::from_csr_sharded(dg, plan.shards, plan.workers)
-                    }
-                },
+                // the histogram reducer is label-independent, so the
+                // one distance sweep over the relabeled snapshot is
+                // already bit-identical
+                distances: DistanceDistribution::from_csr_streamed(
+                    relabeled.as_ref().map(|(r, _)| r).unwrap_or_else(snap),
+                    plan.shards,
+                    plan.workers,
+                ),
                 betweenness: None,
             }),
             Job::Sampled => DepOut::Sampled(match &relabeled {

@@ -2,25 +2,32 @@
 //!
 //! The paper defines `d(x)` as "the number of pairs of nodes at a distance
 //! `x`, divided by the total number of pairs `n²` (self-pairs included)"
-//! (§2). We compute it **exactly** by running BFS from every node —
-//! O(n·m), a few seconds at skitter scale — parallelized over sources with
-//! scoped threads. All-source sweeps run over a frozen [`CsrGraph`]
-//! snapshot (two flat arrays; no per-neighbor-list pointer chase), taken
-//! internally by [`DistanceDistribution::from_graph`] or supplied by the
-//! analyzer cache via [`DistanceDistribution::from_csr_with_threads`].
-//! Above [`crate::stream::AUTO_STREAM_NODES`] the analyzer plans the
-//! **streaming** sweep ([`DistanceDistribution::from_csr_streamed`]):
-//! identical histogram, `O(workers)` partials in flight instead of
-//! `O(shards)`.
+//! (§2). We compute it **exactly** from every source with the 64-source
+//! hybrid sweep [`dk_graph::traversal::bfs_levels64`]: sources go in
+//! batches of 64, one bit of a `u64` word per source, so one edge probe
+//! advances 64 traversals and each level adds the `popcount` of the newly
+//! reached bits to the histogram — O(n·m/64) word operations, the
+//! histogram integer-exact. Each level runs push or pull by a fixed
+//! integer rule ([`dk_graph::traversal::MSBFS_ALPHA`]).
+//!
+//! There is one route: the shard fold of
+//! [`DistanceDistribution::from_csr_streamed`]. Shards are laid out over
+//! the `n.div_ceil(64)` **source words**, never over single sources, so
+//! a shard never splits a batch; partial histograms fold into one
+//! accumulator in shard order, `O(workers)` partials in flight. Every
+//! entry point ([`DistanceDistribution::from_graph`],
+//! [`DistanceDistribution::from_csr_with_threads`]) routes through it
+//! over a frozen [`CsrGraph`] snapshot, and the integer reducer makes
+//! the result identical for every shard and thread count.
 //!
 //! The exact distribution carries no sampling noise: reproduction tables
 //! must not stack sampling noise on top of ensemble noise. The *opt-in*
 //! sampled estimator (registry metric `distance_approx`) lives in
 //! [`crate::sampled`].
 
-use crate::stream::{run_sharded, run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::traversal::BfsScratch;
-use dk_graph::{traversal, AdjacencyView, CsrGraph, Graph, NodeId};
+use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
+use dk_graph::traversal::{self, MultiBfsScratch, MSBFS_WIDTH};
+use dk_graph::{CsrGraph, Graph, NodeId};
 
 /// Exact distance distribution of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,7 +42,7 @@ pub struct DistanceDistribution {
 }
 
 impl DistanceDistribution {
-    /// Computes the exact distribution with one BFS per node, in parallel.
+    /// Computes the exact distribution from every node, in parallel.
     pub fn from_graph(g: &Graph) -> Self {
         Self::from_graph_with_threads(g, default_threads())
     }
@@ -48,39 +55,34 @@ impl DistanceDistribution {
     /// [`DistanceDistribution::from_csr_with_threads`] to skip the
     /// rebuild.
     pub fn from_graph_with_threads(g: &Graph, threads: usize) -> Self {
-        Self::from_view(&CsrGraph::from_graph(g), threads)
+        Self::from_csr_with_threads(&CsrGraph::from_graph(g), threads)
     }
 
-    /// Exact distribution over a prepared CSR snapshot.
+    /// Exact distribution over a prepared CSR snapshot, at the default
+    /// shard count.
     pub fn from_csr_with_threads(g: &CsrGraph, threads: usize) -> Self {
-        Self::from_view(g, threads)
+        Self::from_csr_streamed(g, DEFAULT_SHARDS, threads)
     }
 
-    /// In-memory sweep with an explicit shard count — the equivalence
-    /// oracle for [`DistanceDistribution::from_csr_streamed`] at the same
-    /// shard count (the histogram reducer is integer, so any shard count
-    /// gives identical counts; the knob fixes the partial layout).
-    pub fn from_csr_sharded(g: &CsrGraph, shards: usize, threads: usize) -> Self {
-        Self::from_view_sharded(g, shards, threads)
-    }
-
-    /// **Streaming** sweep over a prepared snapshot: each worker streams
-    /// its source shards into a per-shard histogram, and histograms
-    /// merge into one accumulator in shard order — `O(workers)`
-    /// histograms in flight instead of `O(shards)`, the route the
-    /// analyzer plans for 10⁶-node graphs (see [`crate::stream`]).
-    /// Identical to the in-memory sweep for every shard and thread count.
+    /// The exact sweep over a prepared snapshot: the `n.div_ceil(64)`
+    /// source words are split into `shards` contiguous shards (clamped to
+    /// `1..=words`), each worker runs its shard's 64-source batches into
+    /// a per-shard histogram, and histograms merge into one accumulator
+    /// in shard order — `O(workers)` histograms in flight, the route the
+    /// analyzer takes at every scale (see [`crate::stream`]). The reducer
+    /// is integer, so every shard and thread count gives the same result.
     pub fn from_csr_streamed(g: &CsrGraph, shards: usize, threads: usize) -> Self {
         let n = g.node_count();
         if n == 0 {
             return Self::empty();
         }
-        let threads = threads.clamp(1, n);
+        let words = n.div_ceil(MSBFS_WIDTH) as u32;
+        let threads = threads.clamp(1, words as usize);
         let (counts, unreachable) = run_sharded_fold(
-            n as u32,
+            words,
             shards,
             threads,
-            |range| Self::bfs_shard(g, range),
+            |range| Self::sweep_shard(g, range),
             (Vec::new(), 0u64),
             Self::merge_shard,
         );
@@ -91,58 +93,28 @@ impl DistanceDistribution {
         }
     }
 
-    /// The all-source BFS sweep, generic over the adjacency
-    /// representation (CSR preserves neighbor order, so both views
-    /// produce identical distributions).
-    pub(crate) fn from_view<V: AdjacencyView + ?Sized>(g: &V, threads: usize) -> Self {
-        Self::from_view_sharded(g, DEFAULT_SHARDS, threads)
-    }
-
-    fn from_view_sharded<V: AdjacencyView + ?Sized>(g: &V, shards: usize, threads: usize) -> Self {
-        let n = g.node_count();
-        if n == 0 {
-            return Self::empty();
-        }
-        let threads = threads.clamp(1, n);
-        let results = run_sharded(n as u32, shards, threads, |range| Self::bfs_shard(g, range));
-        let mut acc = (Vec::new(), 0u64);
-        for partial in results {
-            Self::merge_shard(&mut acc, partial);
-        }
-        DistanceDistribution {
-            counts: acc.0,
-            nodes: n,
-            unreachable_pairs: acc.1,
-        }
-    }
-
-    /// One shard's worth of BFS sources folded into a compact partial:
-    /// the per-distance visit counts and the unreached-pair tally. The
-    /// worker-local scratch ([`BfsScratch`]: distances, frontiers, and
-    /// the direction-optimizing bitmaps) is `O(n)` and reused across
-    /// the shard's sources. The histogram reducer only counts
-    /// `(node, level)` pairs, so it is insensitive to the within-level
-    /// visit-order difference between the top-down and bottom-up paths.
-    fn bfs_shard<V: AdjacencyView + ?Sized>(g: &V, range: std::ops::Range<u32>) -> (Vec<u64>, u64) {
+    /// One shard of source words folded into a compact partial: the
+    /// per-distance pair counts and the unreached-pair tally. Word `w`
+    /// is the batch of sources `64w .. min(64w + 64, n)`; the worker's
+    /// [`MultiBfsScratch`] (`32n` bytes) is reused across the shard's
+    /// batches.
+    fn sweep_shard(g: &CsrGraph, words: std::ops::Range<u32>) -> (Vec<u64>, u64) {
         let n = g.node_count();
         let mut counts: Vec<u64> = Vec::new();
         let mut unreachable = 0u64;
-        let mut scratch = BfsScratch::new(n);
-        for s in range {
-            let (reached, _depth) = traversal::bfs_visit(g, s, &mut scratch, |_, du| {
-                let dx = du as usize;
-                if counts.len() <= dx {
-                    counts.resize(dx + 1, 0);
-                }
-                counts[dx] += 1;
-            });
-            unreachable += n as u64 - reached;
+        let mut scratch = MultiBfsScratch::new(n);
+        let mut batch: Vec<NodeId> = Vec::with_capacity(MSBFS_WIDTH);
+        for w in words {
+            let lo = w as usize * MSBFS_WIDTH;
+            batch.clear();
+            batch.extend(lo as NodeId..(lo + MSBFS_WIDTH).min(n) as NodeId);
+            let run = traversal::bfs_levels64(g, &batch, &mut scratch, &mut counts);
+            unreachable += batch.len() as u64 * n as u64 - run.reached;
         }
         (counts, unreachable)
     }
 
-    /// Shard-order histogram merge — the distance reducer shared by the
-    /// in-memory and streaming routes (integer, so grouping-proof).
+    /// Shard-order histogram merge (integer, so grouping-proof).
     fn merge_shard(acc: &mut (Vec<u64>, u64), partial: (Vec<u64>, u64)) {
         let (counts, unreachable) = acc;
         let (c, u) = partial;
@@ -333,14 +305,38 @@ mod tests {
         }
     }
 
+    /// Per-source [`dk_graph::traversal::bfs_visit`] histogram — the
+    /// oracle the 64-source sweep must equal.
+    fn per_source_oracle(g: &Graph) -> DistanceDistribution {
+        let n = g.node_count();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut unreachable = 0u64;
+        let mut scratch = dk_graph::traversal::BfsScratch::new(n);
+        for s in 0..n as NodeId {
+            let (reached, _) = traversal::bfs_visit(g, s, &mut scratch, |_, d| {
+                if counts.len() <= d as usize {
+                    counts.resize(d as usize + 1, 0);
+                }
+                counts[d as usize] += 1;
+            });
+            unreachable += n as u64 - reached;
+        }
+        DistanceDistribution {
+            counts,
+            nodes: n,
+            unreachable_pairs: unreachable,
+        }
+    }
+
     #[test]
-    fn streamed_equals_in_memory_for_any_shard_count() {
+    fn any_shard_and_thread_count_matches_per_source_oracle() {
         for g in [
             builders::karate_club(),
+            builders::path(150),
             Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap(),
         ] {
             let csr = CsrGraph::from_graph(&g);
-            let want = DistanceDistribution::from_csr_with_threads(&csr, 1);
+            let want = per_source_oracle(&g);
             let n = g.node_count();
             for shards in [1, 2, 7, n] {
                 for threads in [1, 3] {
@@ -348,10 +344,6 @@ mod tests {
                         DistanceDistribution::from_csr_streamed(&csr, shards, threads),
                         want,
                         "shards = {shards}, threads = {threads}"
-                    );
-                    assert_eq!(
-                        DistanceDistribution::from_csr_sharded(&csr, shards, threads),
-                        want
                     );
                 }
             }

@@ -83,7 +83,8 @@
 //! | `sampled` | K pivots through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** + 2·n/8-byte frontier bitmaps per worker |
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
-//! | `all-pairs` | n sources through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** + 2·n/8-byte frontier bitmaps per worker |
+//! | `all-pairs` (distances only) | n sources in 64-source batches (one bit per source, [`dk_graph::traversal::bfs_levels64`]) through the shard fold — one route at every scale | **O(workers·n)**: three n-word bitsets + two n-entry active lists per worker (32n bytes) |
+//! | `all-pairs` (with betweenness) | n Brandes sources through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** (40n bytes per worker) |
 //! | `spectral` | Lanczos (residual-certified) | O(k·n) Krylov basis for the k ≤ `lanczos_iter` steps run |
 //!
 //! The streamed route is auto-selected above
@@ -93,8 +94,9 @@
 //! scratch only, so per-worker buffers stay O(n) in total — the
 //! [`stream::per_worker_bytes`](crate::stream::per_worker_bytes) model
 //! charges `40n` bytes of Brandes scratch plus the two `n/8`-byte
-//! direction-optimizing frontier bitmaps — and results are
-//! bit-identical to the in-memory route at equal shard counts.
+//! direction-optimizing frontier bitmaps, which also covers the `32n`
+//! bytes of the distance-only sweep — and results are bit-identical to
+//! the in-memory route at equal shard counts.
 
 use crate::cache::AnalysisCache;
 use crate::{betweenness, clustering, jdd, kcore, likelihood, richclub};

@@ -147,7 +147,7 @@ pub fn sampled_traversal_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledT
 /// ([`crate::betweenness::betweenness_and_distances_streamed`]) — same
 /// pivots, same merge order, so the result is bit-identical to
 /// [`sampled_traversal_csr`] when `shards` is
-/// [`DEFAULT_SHARDS`](crate::stream::DEFAULT_SHARDS), and to
+/// [`DEFAULT_SHARDS`], and to
 /// [`sampled_traversal_sharded`] at any equal shard count.
 pub fn sampled_traversal_streamed(
     g: &CsrGraph,

@@ -229,7 +229,7 @@ fn swar_max8(x: u64, y: u64) -> u64 {
 
 /// Elementwise register max — the union kernel shared by [`HllSketch`]
 /// and the HyperANF round. Registers are processed 8 at a time via
-/// [`swar_max8`] (register files are `2^b ≥ 16` bytes, so the scalar
+/// `swar_max8` (register files are `2^b ≥ 16` bytes, so the scalar
 /// tail only runs for ad-hoc slices); equality with the scalar
 /// byte-loop oracle on arbitrary register files is locked down by
 /// `proptests::swar_union_matches_scalar_oracle`. Exposed for that

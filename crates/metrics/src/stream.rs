@@ -29,7 +29,10 @@
 //!   shard order — so for any shard count the streamed result is
 //!   **bit-identical** to the in-memory one, which stays retained as the
 //!   equivalence oracle (`tests/stream_equivalence.rs`, the
-//!   `proptests::streamed_equals_in_memory` property).
+//!   `proptests::streamed_equals_in_memory` property). The exact
+//!   distance-only sweep is integer and has no float merge to protect:
+//!   it always takes the fold, over shards of 64-source words, and its
+//!   oracle is a per-source BFS kept in `tests/distance_oracle.rs`.
 //! * **Planning** ([`plan`]): the streamed route is selected explicitly
 //!   (`Analyzer::shards` / `Analyzer::memory_budget`, CLI `--shards` /
 //!   `--memory-budget`) or automatically once the analyzed graph exceeds
@@ -167,11 +170,14 @@ pub enum ExecMode {
 pub fn per_worker_bytes(n: usize) -> u64 {
     // bc 8 + sigma 8 + delta 8 + dist 4 + order 4 + queue 4 = 36 B/node;
     // round up for allocator slack and the histogram. The
-    // direction-optimizing BFS scratch adds two n-bit frontier bitmaps
-    // (`front_bits`/`next_bits` in
+    // direction-optimizing BFS scratch of the sampled distance pass adds
+    // two n-bit frontier bitmaps (`front_bits`/`next_bits` in
     // [`BfsScratch`](dk_graph::traversal::BfsScratch)) — charge them
-    // explicitly so a budget-capped worker count stays an upper bound
-    // for the distance-only pass too.
+    // explicitly. The exact distance-only sweep
+    // ([`MultiBfsScratch`](dk_graph::traversal::MultiBfsScratch): three
+    // n-word bitsets + two n-entry active lists = 32 B/node) fits the
+    // 40 B/node charge, so a budget-capped worker count stays an upper
+    // bound for every pass.
     40 * n as u64 + 2 * (n as u64).div_ceil(8)
 }
 

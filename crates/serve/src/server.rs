@@ -125,8 +125,11 @@ struct MetricKnobs {
     metrics: Vec<AnyMetric>,
     gcc: GccPolicy,
     samples: Option<u64>,
-    sketch_bits: Option<u64>,
-    shards: Option<u64>,
+    /// Validated into `MIN_SKETCH_BITS..=MAX_SKETCH_BITS`, so admission
+    /// prices exactly the register sheets the analysis allocates.
+    sketch_bits: Option<u32>,
+    /// Validated positive.
+    shards: Option<usize>,
     memory_budget: Option<u64>,
     /// Canonical key: resolved metric names + every knob, so two
     /// requests coalesce exactly when their analysis is identical.
@@ -138,8 +141,11 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     let metrics = AnyMetric::parse_list(list).map_err(|e| ReqError::new("unknown_metric", e))?;
     let no_gcc = req.opt_bool("no_gcc")?.unwrap_or(false);
     let samples = req.opt_u64("samples")?;
-    let sketch_bits = req.opt_u64("sketch_bits")?;
-    let shards = req.opt_u64("shards")?;
+    let sketch_bits = req
+        .opt_u64("sketch_bits")?
+        .map(sketch_bits_knob)
+        .transpose()?;
+    let shards = req.opt_u64("shards")?.map(shards_knob).transpose()?;
     let memory_budget = req.opt_u64("memory_budget")?;
     let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
     let key = format!(
@@ -166,6 +172,37 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     })
 }
 
+/// The `sketch_bits` knob, rejected (never clamped) outside the range
+/// the CLI's `--sketch-bits` accepts.
+fn sketch_bits_knob(bits: u64) -> Result<u32, ReqError> {
+    let (lo, hi) = (
+        dk_metrics::sketch::MIN_SKETCH_BITS,
+        dk_metrics::sketch::MAX_SKETCH_BITS,
+    );
+    u32::try_from(bits)
+        .ok()
+        .filter(|b| (lo..=hi).contains(b))
+        .ok_or_else(|| {
+            ReqError::new(
+                "bad_knob",
+                format!("knob \"sketch_bits\" must lie in {lo}..={hi}, got {bits}"),
+            )
+        })
+}
+
+/// The `shards` knob, rejected at 0 as the CLI's `--shards` is.
+fn shards_knob(shards: u64) -> Result<usize, ReqError> {
+    usize::try_from(shards)
+        .ok()
+        .filter(|&s| s >= 1)
+        .ok_or_else(|| {
+            ReqError::new(
+                "bad_knob",
+                format!("knob \"shards\" must be a positive shard count, got {shards}"),
+            )
+        })
+}
+
 fn analyze_options(
     reg: &Registry,
     knobs: &MetricKnobs,
@@ -182,14 +219,9 @@ fn analyze_options(
         opts.samples = (k as usize).max(1);
     }
     if let Some(bits) = knobs.sketch_bits {
-        opts.sketch_bits = (bits as u32).clamp(
-            dk_metrics::sketch::MIN_SKETCH_BITS,
-            dk_metrics::sketch::MAX_SKETCH_BITS,
-        );
+        opts.sketch_bits = bits;
     }
-    if let Some(shards) = knobs.shards {
-        opts.shards = Some((shards as usize).max(1));
-    }
+    opts.shards = knobs.shards;
     if let Some(b) = budget {
         opts.memory_budget = Some(b.max(1));
     }
@@ -248,7 +280,9 @@ fn metric_fragment_at(
         graph.node_count(),
         graph.edge_count(),
         &knobs.metrics,
-        knobs.sketch_bits.map_or(8, |b| b as u32),
+        knobs
+            .sketch_bits
+            .unwrap_or(dk_metrics::sketch::DEFAULT_SKETCH_BITS),
         knobs.memory_budget,
     )?;
     let key = metric_key(name, epoch, &knobs.key);

@@ -24,11 +24,19 @@ fn tmpdir() -> PathBuf {
     d
 }
 
+/// The shared karate edge file, written once: the tests run in
+/// parallel, and rewriting it per test let one test read it while
+/// another had just truncated it.
 fn write_karate(dir: &std::path::Path) -> PathBuf {
-    let p = dir.join("karate.edges");
-    let g = dk_repro::graph::builders::karate_club();
-    dk_repro::graph::io::save_edge_list(&g, &p).unwrap();
-    p
+    static KARATE: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    KARATE
+        .get_or_init(|| {
+            let p = dir.join("karate.edges");
+            let g = dk_repro::graph::builders::karate_club();
+            dk_repro::graph::io::save_edge_list(&g, &p).unwrap();
+            p
+        })
+        .clone()
 }
 
 fn run(args: &[&str]) -> (bool, String) {

@@ -375,6 +375,15 @@ fn over_budget_requests_are_rejected_structurally() {
         ),
     ));
     assert_ok(&handle_line(&roomy, r#"{"op":"metric","graph":"k"}"#));
+    // in-range sketch bits are priced at the value that runs: at 100 kB
+    // the 2^4-register sheets of karate fit, the 2^16 ones do not
+    let sketch = |bits: u32| {
+        format!(
+            r#"{{"op":"metric","graph":"k","metrics":"avg_distance_sketch","sketch_bits":{bits},"memory_budget":100000}}"#
+        )
+    };
+    assert_ok(&handle_line(&reg, &sketch(4)));
+    assert_error(&handle_line(&reg, &sketch(16)), "over_budget");
     let _ = std::fs::remove_file(&karate);
 }
 
@@ -449,6 +458,24 @@ fn malformed_requests_get_structured_errors() {
         (r#"{"op":"metric","graph":"k","samples":-3}"#, "bad_knob"),
         (r#"{"op":"metric","graph":"k","samples":1.5}"#, "bad_knob"),
         (r#"{"op":"metric","graph":"k","no_gcc":"yes"}"#, "bad_knob"),
+        // out-of-range knobs are rejected as the CLI rejects them, never
+        // clamped: 3 and 17 straddle the 4..=16 window, 68 and 99 once
+        // overflowed the admission price's shift
+        (r#"{"op":"metric","graph":"k","sketch_bits":3}"#, "bad_knob"),
+        (
+            r#"{"op":"metric","graph":"k","sketch_bits":17}"#,
+            "bad_knob",
+        ),
+        (
+            r#"{"op":"metric","graph":"k","metrics":"avg_distance_sketch","sketch_bits":68,"memory_budget":100000}"#,
+            "bad_knob",
+        ),
+        (
+            r#"{"op":"metric","graph":"k","metrics":"avg_distance_sketch","sketch_bits":99,"memory_budget":100000}"#,
+            "bad_knob",
+        ),
+        (r#"{"op":"metric","graph":"k","shards":0}"#, "bad_knob"),
+        (r#"{"op":"compare","a":"k","b":"k","shards":0}"#, "bad_knob"),
         (
             r#"{"op":"attack","graph":"k","strategy":"bogus"}"#,
             "bad_knob",

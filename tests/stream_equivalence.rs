@@ -2,7 +2,8 @@
 //! traversal-shaped metric must be **bit-identical** to the retained
 //! in-memory route (the equivalence oracle) at equal shard counts, for
 //! every thread count — and the default analyzer output must be
-//! byte-identical whether it streams or not.
+//! byte-identical whether it streams or not. The exact distance-only
+//! sweep has one route, checked here against a per-source BFS oracle.
 //!
 //! The sampled (Brandes–Pich) estimators ride the same shard executor,
 //! so their edge cases live here too: disconnected, empty, and `n < K`
@@ -77,13 +78,38 @@ fn fused_streamed_bit_identical_to_oracle_across_shards_and_threads() {
     }
 }
 
+/// Per-source `bfs_visit` histogram — the oracle of the one exact
+/// distance sweep (which has no in-memory twin; the full suite is
+/// `tests/distance_oracle.rs`).
+fn per_source_distances(g: &Graph) -> DistanceDistribution {
+    use dk_repro::graph::traversal::{bfs_visit, BfsScratch};
+    let n = g.node_count();
+    let mut counts: Vec<u64> = Vec::new();
+    let mut unreachable = 0u64;
+    let mut scratch = BfsScratch::new(n);
+    for s in 0..n as u32 {
+        let (reached, _) = bfs_visit(g, s, &mut scratch, |_, d| {
+            if counts.len() <= d as usize {
+                counts.resize(d as usize + 1, 0);
+            }
+            counts[d as usize] += 1;
+        });
+        unreachable += n as u64 - reached;
+    }
+    DistanceDistribution {
+        counts,
+        nodes: n,
+        unreachable_pairs: unreachable,
+    }
+}
+
 #[test]
 fn distance_streamed_identical_for_every_shard_count() {
-    // the histogram reducer is integer, so the streamed result matches
-    // the default route at ANY shard count, not just equal ones
+    // the histogram reducer is integer, so the sweep matches the
+    // per-source oracle at ANY shard count
     for g in zoo() {
         let csr = CsrGraph::from_graph(&g);
-        let want = DistanceDistribution::from_csr_with_threads(&csr, 1);
+        let want = per_source_distances(&g);
         for shards in [1, 2, 7, g.node_count()] {
             for threads in [1, 3] {
                 assert_eq!(
